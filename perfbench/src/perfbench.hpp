@@ -31,7 +31,9 @@ inline std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-// CPUs this process may run on (what `nproc` prints).
+// CPUs this process may run on: their ids, and how many (what `nproc`
+// prints, at least 1).
+std::vector<int> usable_cpu_ids();
 std::size_t usable_cpus();
 
 // --- exact order statistics -------------------------------------------------

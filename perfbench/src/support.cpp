@@ -15,15 +15,19 @@
 
 namespace perfbench {
 
-std::size_t usable_cpus() {
+std::vector<int> usable_cpu_ids() {
+  std::vector<int> ids;
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    const int n = CPU_COUNT(&set);
-    if (n > 0) return static_cast<std::size_t>(n);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) ids.push_back(c);
+    }
   }
-  return 1;
+  return ids;
 }
+
+std::size_t usable_cpus() { return std::max<std::size_t>(1, usable_cpu_ids().size()); }
 
 double order_stat(std::vector<double>& sample, double p) {
   std::sort(sample.begin(), sample.end());
@@ -40,7 +44,7 @@ namespace {
 
 // Threads over the whole process (every runtime's workers, replay threads,
 // the generator and dispatcher) stay far below this.
-constexpr int max_threads = 512;
+constexpr int max_threads = 4096;
 tally_slot g_tallies[max_threads];
 std::atomic<int> g_next_thread{0};
 

@@ -1,19 +1,22 @@
 // The four workloads, their phases, and the metrics each run reports.
 //
 // Every throughput workload (fanin, fib, futures) runs a phase with one
-// worker and a phase with pmax = nproc workers; each phase warms up, then
-// repeats one whole dag per repetition ("rep") until its time is spent, and
-// checks every rep against values computed without the runtime. The service
+// worker and a phase with pmax = nproc workers, in alternating rounds; each
+// round builds a fresh runtime, warms up, then repeats one whole dag per
+// repetition ("rep") until its time is spent, and checks every rep against
+// values computed without the runtime. The service
 // workload feeds a resident dag_service from an open-loop generator: first
 // one worker at the low offered rate, then pmax = nproc - 2 workers (the
 // dispatcher and the generator take the other two CPUs) at the high rate.
 
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <memory>
 #include <random>
 
@@ -44,7 +47,34 @@ runtime_config default_config(std::size_t workers) {
   return c;
 }
 
+// A runtime whose workers run only on `cpu`, or anywhere when `cpu` < 0.
+// Workers inherit the affinity mask of the thread that starts them, so this
+// thread narrows its own mask while the runtime is built, then restores it.
+std::unique_ptr<runtime> make_runtime(std::size_t workers, int cpu) {
+  if (cpu < 0) return std::make_unique<runtime>(default_config(workers));
+  cpu_set_t saved, one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_getaffinity(0, sizeof(saved), &saved);
+  sched_setaffinity(0, sizeof(one), &one);
+  auto rt = std::make_unique<runtime>(default_config(workers));
+  sched_setaffinity(0, sizeof(saved), &saved);
+  return rt;
+}
+
+// This process's own peak resident set. VmHWM starts afresh at exec;
+// getrusage's ru_maxrss would also count the parent's resident set at fork
+// time (the launcher's), which can be the larger of the two.
 double peak_rss_mb() {
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kb = -1;
+    while (kb < 0 && std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kb) != 1) kb = -1;
+    }
+    std::fclose(f);
+    if (kb >= 0) return static_cast<double>(kb) / 1024.0;
+  }
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
@@ -52,28 +82,53 @@ double peak_rss_mb() {
 
 double median(std::vector<double> v) { return order_stat(v, 0.5); }
 
-// Library counters around a phase, read through the public accessors.
-struct layer_snapshot {
+// Library counters read through the public accessors. A phase keeps their
+// growth over its measured reps, summed over its rounds.
+struct layer_counts {
   std::uint64_t vertices = 0;
   std::uint64_t edges = 0;
   std::uint64_t counter_ops = 0;
-  scheduler_totals sched;
+  std::uint64_t steals = 0;
+  std::uint64_t failed_steal_sweeps = 0;
+  std::uint64_t parks = 0;
   std::uint64_t slab_growths = 0;
-  outset_totals outsets;
-  span_totals spans;
+  std::uint64_t outset_adds = 0;
+  std::uint64_t outset_delivered = 0;
+  std::uint64_t leaf_ns = 0;
+  std::uint64_t spawn_ns = 0;
+  std::uint64_t spawns = 0;
 
-  static layer_snapshot take(runtime& rt) {
-    layer_snapshot s;
+  static layer_counts read(runtime& rt) {
+    layer_counts c;
     engine_stats& e = rt.engine().stats();
-    s.vertices = e.vertices_created.load(std::memory_order_relaxed);
-    s.edges = e.edges.load(std::memory_order_relaxed);
-    s.counter_ops = e.counter_incs.load(std::memory_order_relaxed) +
+    c.vertices = e.vertices_created.load(std::memory_order_relaxed);
+    c.edges = e.edges.load(std::memory_order_relaxed);
+    c.counter_ops = e.counter_incs.load(std::memory_order_relaxed) +
                     e.counter_decs.load(std::memory_order_relaxed);
-    s.sched = rt.sched().totals();
-    s.slab_growths = rt.pools().totals().slab_growths;
-    s.outsets = rt.outsets().totals();
-    s.spans = sum_spans();
-    return s;
+    const scheduler_totals st = rt.sched().totals();
+    c.steals = st.steals;
+    c.failed_steal_sweeps = st.failed_steal_sweeps;
+    c.parks = st.parks;
+    c.slab_growths = rt.pools().totals().slab_growths;
+    const outset_totals ot = rt.outsets().totals();
+    c.outset_adds = ot.adds;
+    c.outset_delivered = ot.delivered;
+    const span_totals sp = sum_spans();
+    c.leaf_ns = sp.ns[sp_leaf];
+    c.spawn_ns = sp.ns[sp_spawn];
+    c.spawns = sp.count[sp_spawn];
+    return c;
+  }
+  // Adds the growth from `before` to `after`.
+  void add_growth(const layer_counts& before, const layer_counts& after) {
+    static constexpr std::uint64_t layer_counts::*fields[] = {
+        &layer_counts::vertices,     &layer_counts::edges,
+        &layer_counts::counter_ops,  &layer_counts::steals,
+        &layer_counts::failed_steal_sweeps, &layer_counts::parks,
+        &layer_counts::slab_growths, &layer_counts::outset_adds,
+        &layer_counts::outset_delivered, &layer_counts::leaf_ns,
+        &layer_counts::spawn_ns,     &layer_counts::spawns};
+    for (std::uint64_t layer_counts::*f : fields) this->*f += after.*f - before.*f;
   }
 };
 
@@ -86,44 +141,50 @@ double retained_mb(runtime& rt) {
   return bytes / (1024.0 * 1024.0);
 }
 
-// One measured phase: per-rep samples plus the counters around it.
+// One measured phase: per-rep samples plus the library counters' growth,
+// gathered over one or more rounds.
 struct phase {
   std::size_t workers = 0;
   std::uint64_t items_per_rep = 0;  // items one rep (or one job) counts
   std::vector<double> rep_ms;       // latency sample per rep / job
+  std::vector<double> round_ms;     // median rep of each round
+  std::vector<int> round_cpu;       // the CPU each round was confined to, or -1
   double span_s = 0;                // wall time the measured reps cover
-  double busy_s = 0;                // sum of rep wall times (throughput)
   std::uint64_t reps = 0;
-  double retained_mb = 0;
-  layer_snapshot before, after;
+  double retained_mb = 0;           // after the last round
+  layer_counts growth;
 
+  // Items per second of the median round's median rep. Every round weighs
+  // the same however many reps it ran. When rounds were confined to single
+  // CPUs, the CPU whose median round was fastest counts: the other CPUs were
+  // slowed by whatever else the host ran on them, not by the program.
   double items_per_s() const {
-    std::vector<double> rates;
-    rates.reserve(rep_ms.size());
-    for (double ms : rep_ms) {
-      rates.push_back(static_cast<double>(items_per_rep) / (ms / 1e3));
+    std::map<int, std::vector<double>> by_cpu;
+    for (std::size_t i = 0; i < round_ms.size(); ++i) {
+      by_cpu[round_cpu[i]].push_back(round_ms[i]);
     }
-    return median(rates);
+    double best_ms = 0;
+    for (auto& [cpu, ms] : by_cpu) {
+      const double m = median(std::move(ms));
+      if (best_ms == 0 || m < best_ms) best_ms = m;
+    }
+    return best_ms == 0 ? 0 : static_cast<double>(items_per_rep) / (best_ms / 1e3);
   }
-  double per_rep(std::uint64_t a, std::uint64_t b) const {
-    return reps == 0 ? 0 : static_cast<double>(b - a) / static_cast<double>(reps);
+  double per_rep(std::uint64_t n) const {
+    return reps == 0 ? 0 : static_cast<double>(n) / static_cast<double>(reps);
   }
-  std::uint64_t vertices() const { return after.vertices - before.vertices; }
   // (workers x wall - time inside leaf bodies) / vertices.
   double overhead_ns_per_vertex() const {
-    const double leaf = static_cast<double>(after.spans.ns[sp_leaf] -
-                                            before.spans.ns[sp_leaf]);
-    const double v = static_cast<double>(vertices());
+    const double v = static_cast<double>(growth.vertices);
     return v == 0 ? 0
-                  : (static_cast<double>(workers) * span_s * 1e9 - leaf) / v;
+                  : (static_cast<double>(workers) * span_s * 1e9 -
+                     static_cast<double>(growth.leaf_ns)) /
+                        v;
   }
   double spawn_ns() const {
-    const std::uint64_t n =
-        after.spans.count[sp_spawn] - before.spans.count[sp_spawn];
-    return n == 0 ? 0
-                  : static_cast<double>(after.spans.ns[sp_spawn] -
-                                        before.spans.ns[sp_spawn]) /
-                        static_cast<double>(n);
+    return growth.spawns == 0 ? 0
+                              : static_cast<double>(growth.spawn_ns) /
+                                    static_cast<double>(growth.spawns);
   }
 };
 
@@ -289,17 +350,19 @@ struct futures_workload {
   }
 };
 
-// Runs one throughput phase on a fresh runtime. `first_rep_ns`, when set,
-// receives the moment the first measured rep starts (the end of set-up).
+// Runs one round of a throughput phase on a fresh runtime whose workers are
+// confined to `cpu` (-1: not confined) and adds it to `p`: one warm-up rep,
+// then measured reps until `seconds` have passed since the round began (at
+// least `min_reps`). `first_rep_ns`, when set, receives the moment the first
+// measured rep starts (the end of set-up).
 template <typename W>
-phase run_phase(W& w, std::size_t workers, double seconds, outcome& out,
-                std::int64_t* first_rep_ns) {
-  constexpr int warmup_reps = 2;
-  constexpr std::uint64_t min_reps = 5;
-  phase p;
-  p.workers = workers;
-  p.items_per_rep = w.items();
-  runtime rt(default_config(workers));
+void run_round(W& w, phase& p, int cpu, double seconds, outcome& out,
+               std::int64_t* first_rep_ns) {
+  constexpr std::uint64_t min_reps = 2;
+  const std::int64_t round_start = now_ns();
+  const std::unique_ptr<runtime> owned = make_runtime(p.workers, cpu);
+  runtime& rt = *owned;
+  std::uint64_t reps = 0;
   auto one_rep = [&](bool measured) {
     reset_tallies();
     const std::int64_t t0 = now_ns();
@@ -312,21 +375,23 @@ phase run_phase(W& w, std::size_t workers, double seconds, outcome& out,
     if (measured) {
       out.attempted += w.items();
       p.rep_ms.push_back(static_cast<double>(t1 - t0) / 1e6);
-      p.busy_s += static_cast<double>(t1 - t0) / 1e9;
-      ++p.reps;
+      p.span_s += static_cast<double>(t1 - t0) / 1e9;
+      ++reps;
     }
     if (!err.empty()) out.fail(err, measured ? w.items() : 0);
   };
-  for (int i = 0; i < warmup_reps; ++i) one_rep(false);
-  const std::int64_t start = now_ns();
-  if (first_rep_ns != nullptr) *first_rep_ns = start;
-  p.before = layer_snapshot::take(rt);
+  one_rep(false);
+  if (first_rep_ns != nullptr) *first_rep_ns = now_ns();
+  const layer_counts before = layer_counts::read(rt);
   const std::int64_t budget = static_cast<std::int64_t>(seconds * 1e9);
-  while (p.reps < min_reps || now_ns() - start < budget) one_rep(true);
-  p.span_s = p.busy_s;
-  p.after = layer_snapshot::take(rt);
+  while (reps < min_reps || now_ns() - round_start < budget) one_rep(true);
+  p.growth.add_growth(before, layer_counts::read(rt));
+  std::vector<double> round(p.rep_ms.end() - static_cast<std::ptrdiff_t>(reps),
+                            p.rep_ms.end());
+  p.round_ms.push_back(median(std::move(round)));
+  p.round_cpu.push_back(cpu);
+  p.reps += reps;
   p.retained_mb = retained_mb(rt);
-  return p;
 }
 
 // --- service: open-loop traffic into a resident dag_service ----------------
@@ -392,11 +457,12 @@ service_phase run_service_phase(std::size_t workers, double rate,
     }
   };
 
+  layer_counts before;
   const std::int64_t t0 = now_ns() + 1000000;  // first job 1 ms out
   for (std::size_t k = 0; k < n; ++k) {
     if (k == warmup) {
       if (first_due_ns != nullptr) *first_due_ns = t0 + offset[k];
-      p.before = layer_snapshot::take(svc.rt());
+      before = layer_counts::read(svc.rt());
     }
     job_slot* js = &slots[k];
     js->rec.due_ns = t0 + offset[k];
@@ -435,7 +501,7 @@ service_phase run_service_phase(std::size_t workers, double rate,
   }
   collect(true);
   svc.shutdown();
-  p.after = layer_snapshot::take(svc.rt());
+  p.growth.add_growth(before, layer_counts::read(svc.rt()));
   p.retained_mb = retained_mb(svc.rt());
   const service_stats st = svc.stats();
   p.blocked = st.blocked;
@@ -473,36 +539,25 @@ void add_latency(outcome& out, const char* suffix, std::vector<double> ms) {
 
 // Per-layer metrics both kinds of traced pass share.
 void add_dag_layers(outcome& out, const phase& p1, const phase& pm) {
-  const std::uint64_t edges = (p1.after.edges - p1.before.edges) +
-                              (pm.after.edges - pm.before.edges);
-  const std::uint64_t ops = (p1.after.counter_ops - p1.before.counter_ops) +
-                            (pm.after.counter_ops - pm.before.counter_ops);
-  out.add("dag.vertices", p1.per_rep(p1.before.vertices, p1.after.vertices),
-          "count");
+  const std::uint64_t edges = p1.growth.edges + pm.growth.edges;
+  const std::uint64_t ops = p1.growth.counter_ops + pm.growth.counter_ops;
+  out.add("dag.vertices", p1.per_rep(p1.growth.vertices), "count");
   out.add("dag.counter_ops_per_edge",
           edges == 0 ? 0 : static_cast<double>(ops) / (2.0 * static_cast<double>(edges)),
           "ratio");
   out.add("dag.spawn_ns.p1", p1.spawn_ns(), "ns");
   out.add("dag.overhead_ns_per_vertex.p1", p1.overhead_ns_per_vertex(), "ns");
   out.add("dag.overhead_ns_per_vertex.pmax", pm.overhead_ns_per_vertex(), "ns");
-  out.add("sched.steals.pmax", pm.per_rep(pm.before.sched.steals, pm.after.sched.steals),
-          "count");
+  out.add("sched.steals.pmax", pm.per_rep(pm.growth.steals), "count");
   out.add("sched.failed_steal_sweeps.pmax",
-          pm.per_rep(pm.before.sched.failed_steal_sweeps,
-                     pm.after.sched.failed_steal_sweeps),
-          "count");
-  out.add("sched.parks.pmax", pm.per_rep(pm.before.sched.parks, pm.after.sched.parks),
-          "count");
+          pm.per_rep(pm.growth.failed_steal_sweeps), "count");
+  out.add("sched.parks.pmax", pm.per_rep(pm.growth.parks), "count");
   out.add("mem.slab_growths",
-          static_cast<double>((p1.after.slab_growths - p1.before.slab_growths) +
-                              (pm.after.slab_growths - pm.before.slab_growths)),
+          static_cast<double>(p1.growth.slab_growths + pm.growth.slab_growths),
           "count");
   out.add("mem.retained_mb", pm.retained_mb, "MB");
-  out.add("outset.adds", pm.per_rep(pm.before.outsets.adds, pm.after.outsets.adds),
-          "count");
-  out.add("outset.delivered",
-          pm.per_rep(pm.before.outsets.delivered, pm.after.outsets.delivered),
-          "count");
+  out.add("outset.adds", pm.per_rep(pm.growth.outset_adds), "count");
+  out.add("outset.delivered", pm.per_rep(pm.growth.outset_delivered), "count");
 }
 
 void add_service_layers(outcome& out, service_phase& p) {
@@ -517,21 +572,33 @@ void add_service_layers(outcome& out, service_phase& p) {
 template <typename W>
 void run_throughput(W& w, const options& opt, std::int64_t process_start,
                     outcome& out) {
+  // The two phases alternate over several rounds, each on a fresh runtime,
+  // so a slow spell of the host weighs on few of each phase's reps. The
+  // 1-worker rounds confine their worker to each usable CPU in turn: on a
+  // shared host one CPU can run a third slower than another for seconds at
+  // a time, and items_per_s then takes the fastest CPU.
+  constexpr int rounds = 16;
+  const std::vector<int> cpus = usable_cpu_ids();
   const std::size_t pmax = usable_cpus();
   // Untraced: each phase gets half the run. Traced: the pass gets half,
   // the replays and the service probe share the rest.
-  const double share = opt.trace ? 0.25 : 0.5;
+  const double round_s = opt.seconds * (opt.trace ? 0.25 : 0.5) / rounds;
+  phase p1, pm;
+  p1.workers = 1;
+  pm.workers = pmax;
+  p1.items_per_rep = pm.items_per_rep = w.items();
   std::int64_t first_rep = 0;
-  phase p1 = run_phase(w, 1, opt.seconds * share, out, &first_rep);
+  for (int r = 0; r < rounds; ++r) {
+    const int cpu = cpus.empty() ? -1 : cpus[static_cast<std::size_t>(r) % cpus.size()];
+    run_round(w, p1, cpu, round_s, out, r == 0 ? &first_rep : nullptr);
+    run_round(w, pm, -1, round_s, out, nullptr);
+  }
   const double setup_s = static_cast<double>(first_rep - process_start) / 1e9;
-  phase pm = run_phase(w, pmax, opt.seconds * share, out, nullptr);
   if (!opt.trace) {
     out.add("setup_s", setup_s, "s");
     out.add("peak_rss_mb", peak_rss_mb(), "MB");
     out.add("items_per_s.p1", p1.items_per_s(), "items/s");
     out.add("items_per_s.pmax", pm.items_per_s(), "items/s");
-    add_latency(out, "p1", p1.rep_ms);
-    add_latency(out, "pmax", pm.rep_ms);
     return;
   }
   std::fprintf(stderr, "# traced pass: items_per_s.p1=%.6g items_per_s.pmax=%.6g\n",
